@@ -326,39 +326,57 @@ def _sim_ops(events: Sequence[Event], rank: int, size: int) -> List[_SimOp]:
     return ops
 
 
+_FlightKey = Tuple[int, int, Any]
+
+
 def _match_events(per_rank: Sequence[Sequence[Event]],
                   size: int) -> List[CommDiagnostic]:
-    """Eagerly simulate message matching; report REPROC01/REPROC02."""
+    """Eagerly simulate message matching; report REPROC01/REPROC02.
+
+    Unreceived sends are indexed per destination and a key is dropped
+    when its count reaches zero, so a receive costs O(1) with a known
+    source and tag and O(live sends at its rank) with a wildcard.
+    """
     ops = [_sim_ops(events, rank, size)
            for rank, events in enumerate(per_rank)]
     ptr = [0] * size
-    # in-flight multiset of unreceived sends: (src, dst, tag) -> count
-    flight: Dict[Tuple[int, int, Any], int] = {}
-    seq = 0  # insertion order for deterministic wildcard matching
-    order: Dict[Tuple[int, int, Any], int] = {}
+    # in-flight multiset of unreceived sends, one per destination:
+    # (src, dst, tag) -> count; sends to out-of-range peers can never
+    # match and only feed the leftover report
+    flight: List[Dict[_FlightKey, int]] = [{} for _ in range(size)]
+    stray: Dict[_FlightKey, int] = {}
+    seq = 0  # first-insertion order for deterministic wildcard matching
+    order: Dict[_FlightKey, int] = {}
 
     def try_recv(dst: int, src: Optional[int], tag: Any) -> bool:
-        candidates = []
-        for (fsrc, fdst, ftag), count in flight.items():
-            if count <= 0 or fdst != dst:
-                continue
-            if src is not None and fsrc != src:
-                continue
-            if tag is not None:
-                # a send tag of None means "not statically known": assume
-                # it can match rather than fabricate an unmatched pair
-                if ftag is not None and ftag != tag:
+        live = flight[dst]
+        key: Optional[_FlightKey] = None
+        if src is not None and tag is not None:
+            # a send tag of None means "not statically known": assume it
+            # can match rather than fabricate an unmatched pair
+            for cand in ((src, dst, tag), (src, dst, None)):
+                if cand in live and (key is None or order[cand] < order[key]):
+                    key = cand
+        else:
+            for cand in live:
+                fsrc, _fdst, ftag = cand
+                if src is not None and fsrc != src:
                     continue
-            else:
-                # ANY_TAG matches user tags only, never collective internals
-                if isinstance(ftag, tuple):
+                if tag is not None:
+                    if ftag is not None and ftag != tag:
+                        continue
+                elif isinstance(ftag, tuple):
+                    # ANY_TAG matches user tags only, never collective
+                    # internals
                     continue
-            candidates.append((order[(fsrc, fdst, ftag)], (fsrc, fdst, ftag)))
-        if not candidates:
+                if key is None or order[cand] < order[key]:
+                    key = cand
+        if key is None:
             return False
-        candidates.sort()
-        key = candidates[0][1]
-        flight[key] -= 1
+        if live[key] == 1:
+            del live[key]
+        else:
+            live[key] -= 1
         return True
 
     progressed = True
@@ -372,7 +390,8 @@ def _match_events(per_rank: Sequence[Sequence[Event]],
                         ptr[rank] += 1  # unknown dest: not matchable
                         continue
                     key = (rank, peer, tag)
-                    flight[key] = flight.get(key, 0) + 1
+                    bucket = flight[peer] if 0 <= peer < size else stray
+                    bucket[key] = bucket.get(key, 0) + 1
                     if key not in order:
                         order[key] = seq
                         seq += 1
@@ -412,8 +431,8 @@ def _match_events(per_rank: Sequence[Sequence[Event]],
                 rank=r, line=lines[r]))
     else:
         leftovers = sorted(
-            (src, dst) for (src, dst, _tag), count in flight.items()
-            if count > 0)
+            (src, dst) for bucket in (*flight, stray)
+            for (src, dst, _tag) in bucket)
         seen: Set[Tuple[int, int]] = set()
         for src, dst in leftovers:
             if (src, dst) in seen:

@@ -330,15 +330,22 @@ def run_job(
         engine.current_shard = 0
     engine.run()
 
-    failures = [(p.name, p.value) for p in procs if p.processed and not p.ok]
+    # every rank process shares the name 'rank_main'; procs is in rank
+    # order, so report the index
+    failures = [(r, p.value) for r, p in enumerate(procs)
+                if p.processed and not p.ok]
     if failures:
-        name, exc = failures[0]
-        raise JobError(f"rank program {name} failed: {exc!r}") from exc
-    alive = [p for p in procs if not p.processed]
+        rank, exc = failures[0]
+        raise JobError(
+            f"rank program of rank {rank} failed: {exc!r}") from exc
+    alive = [r for r, p in enumerate(procs) if not p.processed]
     if alive:
+        shown = ", ".join(str(r) for r in alive[:8])
+        if len(alive) > 8:
+            shown += f", ... (+{len(alive) - 8} more)"
         raise JobError(
             f"job deadlocked: {len(alive)}/{nprocs} ranks never finished "
-            f"(first stuck: {alive[0].name!r} at t={engine.now:.1f}µs)"
+            f"(stuck ranks: {shown} at t={engine.now:.1f}µs)"
         )
 
     drops = sum(

@@ -564,22 +564,29 @@ class ClusterScheduler:
             engine.schedule(delay, lambda j=job: self._arrive(j))
         engine.run()
 
+        # rank processes all share one name; procs is in rank order
         failures = [
-            (p.name, p.value)
-            for rj_procs in (rj.procs for rj in self._running.values())
-            for p in rj_procs if p.processed and not p.ok
+            (job_id, r, p.value)
+            for job_id, rj in self._running.items()
+            for r, p in enumerate(rj.procs) if p.processed and not p.ok
         ]
         if failures:
-            name, exc = failures[0]
+            job_id, rank, exc = failures[0]
             raise SchedulerError(
-                f"rank program {name} failed: {exc!r}") from exc
+                f"rank program of job {job_id} rank {rank} failed: "
+                f"{exc!r}") from exc
         unfinished = [r.job_id for r in self.records.values()
                       if r.finish_us < 0]
         if unfinished:
+            stuck = [(job_id, r)
+                     for job_id, rj in sorted(self._running.items())
+                     for r, p in enumerate(rj.procs) if not p.processed]
+            first = (f", first stuck: job {stuck[0][0]} rank {stuck[0][1]}"
+                     if stuck else "")
             raise SchedulerError(
                 f"cluster run stalled: jobs {sorted(unfinished)} never "
                 f"finished (queue: {[j.job_id for j in self._queue]}, "
-                f"running: {sorted(self._running)})"
+                f"running: {sorted(self._running)}{first})"
             )
 
         makespan = self._last_finish - self._first_arrival

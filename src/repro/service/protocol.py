@@ -38,6 +38,10 @@ from typing import Any, Dict
 #: protocol schema generation, echoed by ``ping``
 PROTOCOL_VERSION = 1
 
+#: longest request line the server reads (newline included); a longer
+#: frame is answered with a typed ``BadRequest`` and the connection closed
+MAX_FRAME_BYTES = 1 << 20
+
 #: typed error names a response's ``error`` field may carry
 ERROR_TYPES = (
     "BadRequest",     # malformed JSON, unknown op, invalid request config

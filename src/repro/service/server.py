@@ -59,6 +59,7 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import fold_cache_counters, make_service_registry
 from repro.service.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     NotDone,
     RequestError,
@@ -185,7 +186,7 @@ class ServiceServer:
             sock.unlink()
         sock.parent.mkdir(parents=True, exist_ok=True)
         server = await asyncio.start_unix_server(
-            self._handle_connection, path=str(sock))
+            self._handle_connection, path=str(sock), limit=MAX_FRAME_BYTES)
         if install_signal_handlers:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 loop.add_signal_handler(
@@ -486,7 +487,15 @@ class ServiceServer:
             self._conn_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except (ValueError, asyncio.LimitOverrunError):
+                    # the frame overran MAX_FRAME_BYTES; answer it and
+                    # hang up rather than resynchronise mid-frame
+                    writer.write(encode(error_response(RequestError(
+                        f"request frame exceeds {MAX_FRAME_BYTES} bytes"))))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 stop = await self._serve_line(line, writer)

@@ -141,6 +141,30 @@ class TestJobResult:
         with pytest.raises(JobError, match="deadlock"):
             run_job(ClusterSpec(nodes=2, ppn=1), 2, stuck, MpiConfig())
 
+    def test_deadlock_names_stuck_ranks_by_index(self):
+        # rank 0 eager-sends to a rank that never receives; under on-demand
+        # the receiver stops progressing connection requests once it
+        # finalizes, so both ranks hang
+        def unmatched(mpi):
+            if mpi.rank == 0:
+                yield from mpi.send(np.zeros(4), 1)
+
+        with pytest.raises(JobError) as info:
+            run_job(ClusterSpec(nodes=2, ppn=1), 2, unmatched,
+                    MpiConfig(connection="ondemand"))
+        message = str(info.value)
+        assert "stuck ranks: 0, 1 at" in message
+        assert "rank_main" not in message
+
+    def test_program_failure_names_rank_by_index(self):
+        def bad(mpi):
+            yield from mpi.barrier()
+            if mpi.rank == 1:
+                raise RuntimeError("application bug")
+
+        with pytest.raises(JobError, match=r"rank program of rank 1 failed"):
+            run_job(ClusterSpec(nodes=2, ppn=1), 2, bad, MpiConfig())
+
     def test_summary_digest(self):
         res = self._run()
         text = res.summary()

@@ -6,6 +6,7 @@ strictly lower makespan (and higher peak concurrency) on the identical
 arrival trace, with no NIC ever past its quota.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.lint import lint_source
@@ -275,6 +276,32 @@ class TestReporting:
         # cluster runs emit the same NIC gauge names as single-job runs
         assert tel.metrics.gauge("nic.n0.vi_high_water").value <= 4
         assert tel.metrics.gauge("sched.makespan_us").value > 0
+
+    @staticmethod
+    def _patched(monkeypatch, program):
+        monkeypatch.setattr(JobSpec, "program", lambda self: program)
+        spec = ClusterSpec(nodes=4, ppn=2, seed=0, vi_quota=4)
+        return run_cluster(spec, ring_jobs(1))
+
+    def test_failure_names_job_and_rank_by_index(self, monkeypatch):
+        def bad(mpi):
+            yield from mpi.barrier()
+            if mpi.rank == 2:
+                raise RuntimeError("application bug")
+
+        with pytest.raises(SchedulerError,
+                           match=r"rank program of job 0 rank 2 failed"):
+            self._patched(monkeypatch, bad)
+
+    def test_stall_names_first_stuck_rank(self, monkeypatch):
+        def stuck(mpi):
+            if mpi.rank == 1:
+                yield from mpi.recv(np.empty(1), 0, tag=9)  # never sent
+
+        with pytest.raises(SchedulerError) as info:
+            self._patched(monkeypatch, stuck)
+        assert "first stuck: job 0 rank " in str(info.value)
+        assert "rank_main" not in str(info.value)
 
 
 class TestLintCoverage:

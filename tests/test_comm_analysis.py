@@ -5,6 +5,7 @@ has the structural properties the runtime relies on."""
 
 import json
 import textwrap
+import time
 
 import pytest
 
@@ -114,6 +115,17 @@ class TestNpbKernels:
         assert graph.ok
         assert graph.max_degree <= 5
         assert graph.avg_degree < 6
+
+    @pytest.mark.parametrize("kernel,max_degree", [("cg", 6), ("mg", 63)])
+    def test_np64_analysis_within_budget(self, kernel, max_degree):
+        # the matcher is linear in live sends per destination; a quadratic
+        # regression takes minutes here
+        start = time.perf_counter()
+        graph = analyze_kernel(kernel, 64)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 15.0, f"analyze_kernel({kernel!r}, 64): {elapsed:.1f}s"
+        assert graph.ok, [d.format() for d in graph.diagnostics]
+        assert graph.max_degree <= max_degree
 
     def test_ep_is_collective_only(self):
         graph = analyze_kernel("ep", 8)

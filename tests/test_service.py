@@ -8,6 +8,9 @@ path ``python -m repro.service`` uses.
 """
 
 import asyncio
+import json
+import logging
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -24,6 +27,7 @@ from repro.bench.runner import (
 from repro.service.client import ServiceClient
 from repro.service.jobs import normalize_request
 from repro.service.protocol import (
+    MAX_FRAME_BYTES,
     JobFailed,
     RequestError,
     ServiceBusy,
@@ -244,6 +248,32 @@ def test_typed_errors_for_bad_and_unknown(tmp_path):
         with pytest.raises(RequestError):
             client.submit({"type": "kernel", "kernel": "pingpong",
                            "connection": "psychic"})
+
+
+def test_oversize_frame_gets_typed_reply_and_server_keeps_serving(
+        tmp_path, caplog):
+    frame = b'{"op": "ping", "pad": "' + b"x" * MAX_FRAME_BYTES + b'"}\n'
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with running_server(tmp_path) as (server, client, _e):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(30.0)
+                sock.connect(server.config.socket_path)
+                try:
+                    sock.sendall(frame)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the server replied and hung up mid-frame
+                with sock.makefile("rb") as stream:
+                    reply = json.loads(stream.readline())
+                    try:
+                        rest = stream.readline()
+                    except ConnectionResetError:
+                        rest = b""  # closed with the frame's tail unread
+                    assert rest == b""
+            assert reply["ok"] is False
+            assert reply["error"] == "BadRequest"
+            assert str(MAX_FRAME_BYTES) in reply["message"]
+            assert client.ping()["pong"] is True
+    assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 def test_fetch_of_failed_job_raises_job_failed(tmp_path):
